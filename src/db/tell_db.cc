@@ -405,7 +405,7 @@ void TellDb::ExportStats(obs::MetricsRegistry* registry) const {
 
   tx::BufferStats buf;
   store::RecordCacheStats cache;
-  uint64_t index_cache_entries = 0;
+  index::NodeCacheStats index_cache;
   {
     std::lock_guard<std::mutex> lock(pns_mutex_);
     for (const std::unique_ptr<ProcessingNode>& pn : pns_) {
@@ -418,13 +418,18 @@ void TellDb::ExportStats(obs::MetricsRegistry* registry) const {
         cache.invalidations += s.invalidations;
         cache.entries += s.entries;
       }
-      index_cache_entries += pn->registry.IndexCacheStats().entries;
+      index::NodeCacheStats s = pn->registry.IndexCacheStats();
+      index_cache.entries += s.entries;
+      index_cache.hits += s.hits;
+      index_cache.misses += s.misses;
     }
   }
   registry->SetGauge("store.cache.entries", cache.entries);
   registry->SetGauge("store.cache.evictions", cache.evictions);
   registry->SetGauge("store.cache.invalidations", cache.invalidations);
-  registry->SetGauge("index.cache.entries", index_cache_entries);
+  registry->SetGauge("index.cache.entries", index_cache.entries);
+  registry->SetGauge("index.cache.hits", index_cache.hits);
+  registry->SetGauge("index.cache.misses", index_cache.misses);
   registry->SetGauge("buffer.shared.hits", buf.hits);
   registry->SetGauge("buffer.shared.misses", buf.misses);
   registry->SetGauge("buffer.shared.evictions", buf.evictions);

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -22,7 +24,15 @@ std::string NodeKey(uint64_t id) { return tell::EncodeOrderedU64(id); }
 
 }  // namespace
 
-struct BTree::Node {
+struct BTreeNode {
+  /// One entry. The key views either the node's `payload` or, while a
+  /// mutated copy is being built for Serialize(), a caller-owned key that
+  /// outlives the call.
+  struct Entry {
+    std::string_view key;
+    uint64_t rid = 0;
+  };
+
   uint64_t id = 0;
   uint64_t stamp = 0;
   bool is_leaf = true;
@@ -32,8 +42,11 @@ struct BTree::Node {
   /// target by LEVEL, not by remembered id (see InsertIntoParent).
   uint32_t level = 0;
   uint64_t right_sibling = 0;
-  std::string high_key;  // empty = +inf (only valid when right_sibling == 0)
-  std::vector<IndexEntry> entries;
+  // Empty = +inf (only valid when right_sibling == 0).
+  std::string_view high_key;
+  std::vector<Entry> entries;
+  /// The fetched bytes the views point into; shared by every copy.
+  std::shared_ptr<const std::string> payload;
 
   std::string Serialize() const {
     BufferWriter writer;
@@ -42,33 +55,31 @@ struct BTree::Node {
     writer.PutU64(right_sibling);
     writer.PutString(high_key);
     writer.PutU32(static_cast<uint32_t>(entries.size()));
-    for (const IndexEntry& e : entries) {
+    for (const Entry& e : entries) {
       writer.PutString(e.key);
       writer.PutU64(e.rid);
     }
     return writer.Release();
   }
 
-  static Result<Node> Deserialize(uint64_t id, uint64_t stamp,
-                                  std::string_view data) {
-    BufferReader reader(data);
-    Node node;
+  static Result<BTreeNode> Deserialize(uint64_t id, store::VersionedCell cell) {
+    BTreeNode node;
     node.id = id;
-    node.stamp = stamp;
+    node.stamp = cell.stamp;
+    node.payload = std::make_shared<const std::string>(std::move(cell.value));
+    BufferReader reader(*node.payload);
     TELL_ASSIGN_OR_RETURN(uint8_t is_leaf, reader.GetU8());
     node.is_leaf = is_leaf != 0;
     TELL_ASSIGN_OR_RETURN(node.level, reader.GetU32());
     TELL_ASSIGN_OR_RETURN(node.right_sibling, reader.GetU64());
-    TELL_ASSIGN_OR_RETURN(std::string_view high_key, reader.GetString());
-    node.high_key.assign(high_key);
+    TELL_ASSIGN_OR_RETURN(node.high_key, reader.GetString());
     TELL_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
     node.entries.reserve(std::min<size_t>(count, reader.remaining() / 12 + 1));
     for (uint32_t i = 0; i < count; ++i) {
-      IndexEntry entry;
-      TELL_ASSIGN_OR_RETURN(std::string_view key, reader.GetString());
-      entry.key.assign(key);
+      Entry entry;
+      TELL_ASSIGN_OR_RETURN(entry.key, reader.GetString());
       TELL_ASSIGN_OR_RETURN(entry.rid, reader.GetU64());
-      node.entries.push_back(std::move(entry));
+      node.entries.push_back(entry);
     }
     return node;
   }
@@ -81,7 +92,7 @@ struct BTree::Node {
   /// Child id for `key` in an inner node; 0 if no entry qualifies (stale).
   uint64_t ChildFor(std::string_view key) const {
     uint64_t child = 0;
-    for (const IndexEntry& e : entries) {
+    for (const Entry& e : entries) {
       if (e.key <= key) {
         child = e.rid;
       } else {
@@ -96,7 +107,7 @@ struct BTree::Node {
     return static_cast<size_t>(
         std::lower_bound(entries.begin(), entries.end(),
                          std::make_pair(key, rid),
-                         [](const IndexEntry& e,
+                         [](const Entry& e,
                             const std::pair<std::string_view, uint64_t>& p) {
                            if (e.key != p.first) return e.key < p.first;
                            return e.rid < p.second;
@@ -108,31 +119,29 @@ struct BTree::Node {
 // --------------------------------------------------------------------------
 // NodeCache
 
-bool NodeCache::Get(uint64_t node_id, std::string* value, uint64_t* stamp) {
+std::shared_ptr<const BTreeNode> NodeCache::Get(uint64_t node_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = nodes_.find(node_id);
   if (it == nodes_.end()) {
     ++misses_;
-    return false;
+    return nullptr;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  *value = it->second.value;
-  *stamp = it->second.stamp;
-  return true;
+  return it->second.node;
 }
 
-void NodeCache::Put(uint64_t node_id, std::string value, uint64_t stamp) {
+void NodeCache::Put(std::shared_ptr<const BTreeNode> node) {
+  uint64_t node_id = node->id;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = nodes_.find(node_id);
   if (it != nodes_.end()) {
-    it->second.value = std::move(value);
-    it->second.stamp = stamp;
+    it->second.node = std::move(node);
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return;
   }
   lru_.push_front(node_id);
-  nodes_[node_id] = {std::move(value), stamp, lru_.begin()};
+  nodes_[node_id] = {std::move(node), lru_.begin()};
   while (nodes_.size() > max_entries_) {
     nodes_.erase(lru_.back());
     lru_.pop_back();
@@ -154,9 +163,9 @@ void NodeCache::Clear() {
   lru_.clear();
 }
 
-size_t NodeCache::entries() const {
+NodeCacheStats NodeCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return nodes_.size();
+  return {nodes_.size(), hits_, misses_, evictions_};
 }
 
 // --------------------------------------------------------------------------
@@ -183,59 +192,52 @@ Result<uint64_t> BTree::AllocateNodeId(store::StorageClient* client) {
   return static_cast<uint64_t>(id) + 1;  // counter started at 1 = root
 }
 
-Result<BTree::Node> BTree::ReadNodeUncached(store::StorageClient* client,
-                                            uint64_t node_id) {
+Result<BTree::Node> BTree::FetchNode(store::StorageClient* client,
+                                     uint64_t node_id) {
   TELL_ASSIGN_OR_RETURN(store::VersionedCell cell,
                         client->Get(table_, NodeKey(node_id)));
-  return Node::Deserialize(node_id, cell.stamp, cell.value);
+  return Node::Deserialize(node_id, std::move(cell));
 }
 
-Result<BTree::Node> BTree::ReadNode(store::StorageClient* client,
-                                    uint64_t node_id, bool is_inner_level) {
-  if (options_.cache_inner_nodes && is_inner_level && cache_ != nullptr) {
-    std::string value;
-    uint64_t stamp;
-    if (cache_->Get(node_id, &value, &stamp)) {
-      return Node::Deserialize(node_id, stamp, value);
-    }
+Result<BTree::NodePtr> BTree::ReadNode(store::StorageClient* client,
+                                       uint64_t node_id, bool use_cache) {
+  use_cache = use_cache && options_.cache_inner_nodes && cache_ != nullptr;
+  if (use_cache) {
+    if (NodePtr cached = cache_->Get(node_id)) return cached;
   }
-  TELL_ASSIGN_OR_RETURN(Node node, ReadNodeUncached(client, node_id));
-  if (options_.cache_inner_nodes && cache_ != nullptr && !node.is_leaf) {
-    cache_->Put(node_id, node.Serialize(), node.stamp);
-  }
-  return node;
+  TELL_ASSIGN_OR_RETURN(Node node, FetchNode(client, node_id));
+  auto shared = std::make_shared<const Node>(std::move(node));
+  if (use_cache && !shared->is_leaf) cache_->Put(shared);
+  return shared;
 }
 
-Result<BTree::Node> BTree::DescendToLeaf(store::StorageClient* client,
-                                         std::string_view key,
-                                         std::vector<uint64_t>* path) {
+Result<BTree::NodePtr> BTree::DescendToLeaf(store::StorageClient* client,
+                                            std::string_view key,
+                                            std::vector<uint64_t>* path) {
   // Attempt 0 uses the inner-node cache; later attempts re-read everything.
   // Concurrent structure modifications can transiently derail even a fresh
   // descent, so retry a few times before declaring the tree corrupt.
-  for (int attempt = 0; attempt < 16; ++attempt) {
+  constexpr int kMaxAttempts = 16;
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     bool use_cache = attempt == 0;
     path->clear();
     bool stale = false;
     int right_hops = 0;
     // The root is never cached as a leaf; read and inspect.
-    Result<Node> current = use_cache ? ReadNode(client, kRootId, true)
-                                     : ReadNodeUncached(client, kRootId);
-    if (!current.ok()) return current.status();
-    Node node = std::move(*current);
+    TELL_ASSIGN_OR_RETURN(NodePtr node, ReadNode(client, kRootId, use_cache));
     while (true) {
       // B-link move right: a concurrent split may have shifted our key range
       // into a right sibling before the parent learned about it.
-      while (!node.CoversKey(key)) {
-        if (node.right_sibling == 0 || ++right_hops > kMaxRightHops) {
+      while (!node->CoversKey(key)) {
+        if (node->right_sibling == 0 || ++right_hops > kMaxRightHops) {
           stale = true;
           break;
         }
-        Result<Node> sibling = ReadNodeUncached(client, node.right_sibling);
-        if (!sibling.ok()) return sibling.status();
-        node = std::move(*sibling);
+        TELL_ASSIGN_OR_RETURN(node,
+                              ReadNode(client, node->right_sibling, false));
       }
       if (stale) break;
-      if (node.is_leaf) {
+      if (node->is_leaf) {
         // Paper §5.3.1: a leaf that does not match its parent's expectation
         // means the cached path is outdated — refresh the parents.
         if (right_hops > 0 && cache_ != nullptr) {
@@ -243,16 +245,13 @@ Result<BTree::Node> BTree::DescendToLeaf(store::StorageClient* client,
         }
         return node;
       }
-      uint64_t child = node.ChildFor(key);
+      uint64_t child = node->ChildFor(key);
       if (child == 0) {
         stale = true;
         break;
       }
-      path->push_back(node.id);
-      Result<Node> next = use_cache ? ReadNode(client, child, true)
-                                    : ReadNodeUncached(client, child);
-      if (!next.ok()) return next.status();
-      node = std::move(*next);
+      path->push_back(node->id);
+      TELL_ASSIGN_OR_RETURN(node, ReadNode(client, child, use_cache));
     }
     // Stale cached structure: drop the whole cached path and retry fresh.
     if (cache_ != nullptr) {
@@ -260,10 +259,12 @@ Result<BTree::Node> BTree::DescendToLeaf(store::StorageClient* client,
       for (uint64_t id : *path) cache_->Erase(id);
     }
   }
-  return Status::InternalError("B+tree descent failed twice (corrupt tree?)");
+  return Status::InternalError("B+tree descent failed after " +
+                               std::to_string(kMaxAttempts) +
+                               " attempts (corrupt tree?)");
 }
 
-Status BTree::SplitNode(store::StorageClient* client, Node& node,
+Status BTree::SplitNode(store::StorageClient* client, const Node& node,
                         const std::vector<uint64_t>& path) {
   size_t count = node.entries.size();
   TELL_CHECK(count >= 2);
@@ -284,7 +285,8 @@ Status BTree::SplitNode(store::StorageClient* client, Node& node,
       return Status::NotSupported("node holds a single key; cannot split");
     }
   }
-  const std::string split_key = node.entries[mid].key;
+  // Views `node`'s payload, which outlives every put below.
+  const std::string_view split_key = node.entries[mid].key;
 
   if (node.id == kRootId) {
     // Root split: the root id must stay fixed, so both halves move to fresh
@@ -371,7 +373,7 @@ Status BTree::InsertIntoParent(store::StorageClient* client,
   uint64_t start_id = path.back();
   std::vector<uint64_t> grandparents(path.begin(), path.end() - 1);
   for (int retry = 0; retry < kMaxRetries; ++retry) {
-    TELL_ASSIGN_OR_RETURN(Node parent, ReadNodeUncached(client, start_id));
+    TELL_ASSIGN_OR_RETURN(Node parent, FetchNode(client, start_id));
     bool restart_from_root = false;
     // The remembered parent may meanwhile sit ABOVE the target level: the
     // fixed-id root is rewritten in place one level higher on a root split.
@@ -391,8 +393,7 @@ Status BTree::InsertIntoParent(store::StorageClient* client,
           restart_from_root = true;
           break;
         }
-        TELL_ASSIGN_OR_RETURN(parent,
-                              ReadNodeUncached(client, parent.right_sibling));
+        TELL_ASSIGN_OR_RETURN(parent, FetchNode(client, parent.right_sibling));
       }
       if (restart_from_root) break;
       if (parent.level == target_level) break;
@@ -405,14 +406,14 @@ Status BTree::InsertIntoParent(store::StorageClient* client,
       if (child == 0) {
         return Status::InternalError("no route to parent level");
       }
-      TELL_ASSIGN_OR_RETURN(parent, ReadNodeUncached(client, child));
+      TELL_ASSIGN_OR_RETURN(parent, FetchNode(client, child));
     }
     if (restart_from_root) {
       start_id = kRootId;
       continue;
     }
     // Already present (another worker completed this SMO for us)?
-    for (const IndexEntry& e : parent.entries) {
+    for (const Node::Entry& e : parent.entries) {
       if (e.key == separator && e.rid == right_id) return Status::OK();
     }
     if (parent.entries.size() >= options_.fanout) {
@@ -427,7 +428,7 @@ Status BTree::InsertIntoParent(store::StorageClient* client,
     }
     size_t pos = parent.PositionFor(separator, right_id);
     parent.entries.insert(parent.entries.begin() + static_cast<ptrdiff_t>(pos),
-                          {std::string(separator), right_id});
+                          {separator, right_id});
     auto put = client->ConditionalPut(table_, NodeKey(parent.id), parent.stamp,
                                       parent.Serialize());
     if (cache_ != nullptr) cache_->Erase(parent.id);
@@ -442,31 +443,32 @@ Status BTree::Insert(store::StorageClient* client, std::string_view key,
                      uint64_t rid, bool unique) {
   for (int retry = 0; retry < kMaxRetries; ++retry) {
     std::vector<uint64_t> path;
-    TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, &path));
+    TELL_ASSIGN_OR_RETURN(NodePtr leaf, DescendToLeaf(client, key, &path));
     if (unique) {
-      for (const IndexEntry& e : leaf.entries) {
+      for (const Node::Entry& e : leaf->entries) {
         if (e.key == key && e.rid != rid) {
           return Status::AlreadyExists("duplicate key in unique index");
         }
       }
     }
-    size_t pos = leaf.PositionFor(key, rid);
-    if (pos < leaf.entries.size() && leaf.entries[pos].key == key &&
-        leaf.entries[pos].rid == rid) {
+    size_t pos = leaf->PositionFor(key, rid);
+    if (pos < leaf->entries.size() && leaf->entries[pos].key == key &&
+        leaf->entries[pos].rid == rid) {
       return Status::OK();  // idempotent
     }
-    if (leaf.entries.size() >= options_.fanout) {
-      Status split = SplitNode(client, leaf, path);
+    if (leaf->entries.size() >= options_.fanout) {
+      Status split = SplitNode(client, *leaf, path);
       if (split.ok() || split.IsConditionFailed()) {
         continue;  // re-descend into the correct half
       }
       if (split.code() != StatusCode::kNotSupported) return split;
       // Unsplittable (all entries share one key): insert oversize below.
     }
-    leaf.entries.insert(leaf.entries.begin() + static_cast<ptrdiff_t>(pos),
-                        {std::string(key), rid});
-    auto put = client->ConditionalPut(table_, NodeKey(leaf.id), leaf.stamp,
-                                      leaf.Serialize());
+    Node updated = *leaf;
+    updated.entries.insert(
+        updated.entries.begin() + static_cast<ptrdiff_t>(pos), {key, rid});
+    auto put = client->ConditionalPut(table_, NodeKey(updated.id),
+                                      updated.stamp, updated.Serialize());
     if (put.ok()) return Status::OK();
     if (!put.status().IsConditionFailed()) return put.status();
   }
@@ -477,15 +479,17 @@ Status BTree::Remove(store::StorageClient* client, std::string_view key,
                      uint64_t rid) {
   for (int retry = 0; retry < kMaxRetries; ++retry) {
     std::vector<uint64_t> path;
-    TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, &path));
-    size_t pos = leaf.PositionFor(key, rid);
-    if (pos >= leaf.entries.size() || leaf.entries[pos].key != key ||
-        leaf.entries[pos].rid != rid) {
+    TELL_ASSIGN_OR_RETURN(NodePtr leaf, DescendToLeaf(client, key, &path));
+    size_t pos = leaf->PositionFor(key, rid);
+    if (pos >= leaf->entries.size() || leaf->entries[pos].key != key ||
+        leaf->entries[pos].rid != rid) {
       return Status::OK();  // absent — idempotent
     }
-    leaf.entries.erase(leaf.entries.begin() + static_cast<ptrdiff_t>(pos));
-    auto put = client->ConditionalPut(table_, NodeKey(leaf.id), leaf.stamp,
-                                      leaf.Serialize());
+    Node updated = *leaf;
+    updated.entries.erase(updated.entries.begin() +
+                          static_cast<ptrdiff_t>(pos));
+    auto put = client->ConditionalPut(table_, NodeKey(updated.id),
+                                      updated.stamp, updated.Serialize());
     if (put.ok()) return Status::OK();
     if (!put.status().IsConditionFailed()) return put.status();
   }
@@ -495,9 +499,9 @@ Status BTree::Remove(store::StorageClient* client, std::string_view key,
 Result<std::vector<uint64_t>> BTree::LookupRids(store::StorageClient* client,
                                                 std::string_view key) {
   std::vector<uint64_t> path;
-  TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, &path));
+  TELL_ASSIGN_OR_RETURN(NodePtr leaf, DescendToLeaf(client, key, &path));
   std::vector<uint64_t> rids;
-  for (const IndexEntry& e : leaf.entries) {
+  for (const Node::Entry& e : leaf->entries) {
     if (e.key == key) rids.push_back(e.rid);
   }
   return rids;
@@ -510,8 +514,8 @@ Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
 }
 
 Status BTree::BatchDescendToLeaves(store::StorageClient* client,
-                                   const std::vector<std::string>& keys,
-                                   std::vector<Node>* leaves,
+                                   const std::vector<std::string_view>& keys,
+                                   std::vector<NodePtr>* leaves,
                                    std::vector<size_t>* leaf_of_key) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), kNoLeaf);
@@ -519,9 +523,9 @@ Status BTree::BatchDescendToLeaves(store::StorageClient* client,
 
   struct Cursor {
     size_t key_index;
-    Node node;
+    NodePtr node;
   };
-  TELL_ASSIGN_OR_RETURN(Node root, ReadNode(client, kRootId, true));
+  TELL_ASSIGN_OR_RETURN(NodePtr root, ReadNode(client, kRootId, true));
   std::vector<Cursor> active;
   active.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) active.push_back({i, root});
@@ -532,70 +536,56 @@ Status BTree::BatchDescendToLeaves(store::StorageClient* client,
     std::vector<std::pair<size_t, uint64_t>> wanted;  // (key index, child id)
     bool children_are_inner = false;
     for (Cursor& cursor : active) {
-      const std::string& key = keys[cursor.key_index];
-      if (!cursor.node.CoversKey(key)) continue;  // stale: stays kNoLeaf
-      if (cursor.node.is_leaf) {
+      std::string_view key = keys[cursor.key_index];
+      if (!cursor.node->CoversKey(key)) continue;  // stale: stays kNoLeaf
+      if (cursor.node->is_leaf) {
         auto [it, fresh] =
-            leaf_index.try_emplace(cursor.node.id, leaves->size());
+            leaf_index.try_emplace(cursor.node->id, leaves->size());
         if (fresh) leaves->push_back(std::move(cursor.node));
         (*leaf_of_key)[cursor.key_index] = it->second;
         continue;
       }
-      uint64_t child = cursor.node.ChildFor(key);
+      uint64_t child = cursor.node->ChildFor(key);
       if (child == 0) continue;  // stale: stays kNoLeaf
-      children_are_inner = cursor.node.level > 1;
+      children_are_inner = cursor.node->level > 1;
       wanted.emplace_back(cursor.key_index, child);
     }
     active.clear();
     if (wanted.empty()) break;
 
     // Distinct children: cache first, the rest through one coalesced flush.
-    std::map<uint64_t, Node> nodes;
+    // A null entry is a failed fetch.
+    bool use_cache =
+        children_are_inner && options_.cache_inner_nodes && cache_ != nullptr;
+    std::map<uint64_t, NodePtr> nodes;
     std::vector<std::pair<uint64_t, Future<store::VersionedCell>>> fetches;
     for (const auto& [key_index, child] : wanted) {
       (void)key_index;
-      if (nodes.count(child) != 0) continue;
-      bool have = false;
-      if (children_are_inner && options_.cache_inner_nodes &&
-          cache_ != nullptr) {
-        std::string value;
-        uint64_t stamp;
-        if (cache_->Get(child, &value, &stamp)) {
-          auto cached = Node::Deserialize(child, stamp, value);
-          if (cached.ok()) {
-            nodes.emplace(child, std::move(*cached));
-            have = true;
-          }
-        }
-      }
-      if (!have) {
-        // Reserve the slot so the same child is fetched once.
-        nodes.emplace(child, Node{});
+      // try_emplace reserves the slot, so the same child is fetched once.
+      auto [it, fresh] = nodes.try_emplace(child);
+      if (!fresh) continue;
+      if (use_cache) it->second = cache_->Get(child);
+      if (it->second == nullptr) {
         fetches.emplace_back(child, client->AsyncGet(table_, NodeKey(child)));
       }
     }
     client->Flush();
-    std::map<uint64_t, bool> failed;
     for (auto& [child, future] : fetches) {
       auto cell = future.Await();
-      if (!cell.ok()) {
-        failed[child] = true;
-        continue;
+      if (!cell.ok()) continue;
+      auto node = Node::Deserialize(child, std::move(*cell));
+      if (!node.ok()) continue;
+      auto shared = std::make_shared<const Node>(std::move(*node));
+      if (options_.cache_inner_nodes && cache_ != nullptr && !shared->is_leaf) {
+        cache_->Put(shared);
       }
-      auto node = Node::Deserialize(child, cell->stamp, cell->value);
-      if (!node.ok()) {
-        failed[child] = true;
-        continue;
-      }
-      if (options_.cache_inner_nodes && cache_ != nullptr && !node->is_leaf) {
-        cache_->Put(child, node->Serialize(), node->stamp);
-      }
-      nodes[child] = std::move(*node);
+      nodes[child] = std::move(shared);
     }
 
     for (const auto& [key_index, child] : wanted) {
-      if (failed.count(child) != 0) continue;  // stays kNoLeaf
-      active.push_back({key_index, nodes[child]});
+      const NodePtr& node = nodes[child];
+      if (node == nullptr) continue;  // failed fetch: stays kNoLeaf
+      active.push_back({key_index, node});
     }
   }
   return Status::OK();
@@ -613,15 +603,17 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
     return out;
   }
 
-  std::vector<Node> leaves;
+  std::vector<NodePtr> leaves;
   std::vector<size_t> leaf_of_key;
-  TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, keys, &leaves, &leaf_of_key));
+  TELL_RETURN_NOT_OK(BatchDescendToLeaves(
+      client, std::vector<std::string_view>(keys.begin(), keys.end()), &leaves,
+      &leaf_of_key));
   for (size_t i = 0; i < keys.size(); ++i) {
     if (leaf_of_key[i] == kNoLeaf) {
       TELL_ASSIGN_OR_RETURN(out[i], LookupRids(client, keys[i]));
       continue;
     }
-    for (const IndexEntry& e : leaves[leaf_of_key[i]].entries) {
+    for (const Node::Entry& e : leaves[leaf_of_key[i]]->entries) {
       if (e.key == keys[i]) out[i].push_back(e.rid);
     }
   }
@@ -642,10 +634,10 @@ Status BTree::BatchInsert(store::StorageClient* client,
     return Status::OK();
   }
 
-  std::vector<std::string> keys;
+  std::vector<std::string_view> keys;
   keys.reserve(ops.size());
   for (const BatchInsertOp& op : ops) keys.push_back(op.key);
-  std::vector<Node> leaves;
+  std::vector<NodePtr> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, keys, &leaves, &leaf_of_key));
 
@@ -670,13 +662,13 @@ Status BTree::BatchInsert(store::StorageClient* client,
   };
   std::vector<LeafPut> puts;
   for (auto& [leaf_idx, op_indices] : groups) {
-    Node copy = leaves[leaf_idx];
+    Node copy = *leaves[leaf_idx];
     bool overflow = false;
     std::vector<size_t> applied;
     for (size_t i : op_indices) {
       const BatchInsertOp& op = ops[i];
       if (op.unique) {
-        for (const IndexEntry& e : copy.entries) {
+        for (const Node::Entry& e : copy.entries) {
           if (e.key == op.key && e.rid != op.rid) {
             return Status::AlreadyExists("duplicate key in unique index");
           }
@@ -702,7 +694,7 @@ Status BTree::BatchInsert(store::StorageClient* client,
       for (size_t i : op_indices) fallback.push_back(i);
       continue;
     }
-    puts.push_back({copy.id, leaves[leaf_idx].stamp, copy.Serialize(),
+    puts.push_back({copy.id, copy.stamp, copy.Serialize(),
                     std::move(applied)});
   }
 
@@ -741,30 +733,32 @@ Result<std::vector<IndexEntry>> BTree::RangeScan(store::StorageClient* client,
                                                  size_t limit) {
   client->metrics()->index_lookups += 1;
   std::vector<uint64_t> path;
-  TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, start, &path));
+  TELL_ASSIGN_OR_RETURN(NodePtr first, DescendToLeaf(client, start, &path));
+  const Node* leaf = first.get();
+  Node sibling;
   std::vector<IndexEntry> out;
   while (true) {
-    for (const IndexEntry& e : leaf.entries) {
+    for (const Node::Entry& e : leaf->entries) {
       if (e.key < start) continue;
       if (!end.empty() && e.key >= end) return out;
-      out.push_back(e);
+      out.push_back({std::string(e.key), e.rid});
       if (limit != 0 && out.size() >= limit) return out;
     }
-    if (leaf.right_sibling == 0) return out;
-    if (!end.empty() && !leaf.high_key.empty() && leaf.high_key >= end) {
+    if (leaf->right_sibling == 0) return out;
+    if (!end.empty() && !leaf->high_key.empty() && leaf->high_key >= end) {
       return out;
     }
-    TELL_ASSIGN_OR_RETURN(leaf, ReadNodeUncached(client, leaf.right_sibling));
+    TELL_ASSIGN_OR_RETURN(sibling, FetchNode(client, leaf->right_sibling));
+    leaf = &sibling;
   }
 }
 
 Result<uint32_t> BTree::Height(store::StorageClient* client) {
   uint32_t height = 1;
-  TELL_ASSIGN_OR_RETURN(Node node, ReadNodeUncached(client, kRootId));
+  TELL_ASSIGN_OR_RETURN(Node node, FetchNode(client, kRootId));
   while (!node.is_leaf) {
     TELL_CHECK(!node.entries.empty());
-    TELL_ASSIGN_OR_RETURN(node,
-                          ReadNodeUncached(client, node.entries.front().rid));
+    TELL_ASSIGN_OR_RETURN(node, FetchNode(client, node.entries.front().rid));
     ++height;
   }
   return height;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -36,14 +37,31 @@ struct BTreeOptions {
   bool cache_inner_nodes = true;
 };
 
+/// One decoded B+tree node (defined in btree.cc). Cached nodes are shared
+/// immutably between workers; their keys are views into the fetched payload,
+/// which every copy of the node keeps alive.
+struct BTreeNode;
+
+/// Point-in-time counters of one NodeCache.
+struct NodeCacheStats {
+  uint64_t entries = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+};
+
 /// Per-processing-node cache of inner B+tree nodes. Shared by all workers of
-/// one PN; thread safe. Entries are (node id -> serialized node + stamp).
+/// one PN; thread safe. Entries are decoded, immutable nodes held by
+/// `shared_ptr<const BTreeNode>`: a hit hands out the pointer (no copy, no
+/// decode) and a worker may keep using a node after it was evicted or
+/// replaced. Each node carries its own stamp, and its keys are views into
+/// the node's own copy of the fetched payload.
 ///
 /// Bounded: at most `max_entries` nodes are held, evicted least-recently-used
 /// (Get refreshes recency). An evicted inner node is simply re-fetched on the
 /// next descent, so the bound affects cost only, never correctness — and the
 /// LRU order naturally pins the root and upper levels, which every descent
-/// touches. Entry count is exported as the `index.cache.entries` gauge.
+/// touches. The counters are exported as the `index.cache.*` gauges.
 class NodeCache {
  public:
   /// Default entry bound. At the default fanout (64) this caches the entire
@@ -56,21 +74,19 @@ class NodeCache {
   NodeCache(const NodeCache&) = delete;
   NodeCache& operator=(const NodeCache&) = delete;
 
-  bool Get(uint64_t node_id, std::string* value, uint64_t* stamp);
-  void Put(uint64_t node_id, std::string value, uint64_t stamp);
+  /// The cached node, or null on a miss.
+  std::shared_ptr<const BTreeNode> Get(uint64_t node_id);
+  /// Caches `node` under its own id, replacing any older entry.
+  void Put(std::shared_ptr<const BTreeNode> node);
   void Erase(uint64_t node_id);
   void Clear();
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
-  size_t entries() const;
+  NodeCacheStats stats() const;
   size_t max_entries() const { return max_entries_; }
 
  private:
   struct Entry {
-    std::string value;
-    uint64_t stamp = 0;
+    std::shared_ptr<const BTreeNode> node;
     std::list<uint64_t>::iterator lru_it;
   };
 
@@ -166,22 +182,25 @@ class BTree {
   Result<uint32_t> Height(store::StorageClient* client);
 
  private:
-  struct Node;
+  using Node = BTreeNode;
+  using NodePtr = std::shared_ptr<const Node>;
 
-  Result<Node> ReadNode(store::StorageClient* client, uint64_t node_id,
-                        bool is_inner_level);
+  /// Fetches and decodes `node_id` from the store, bypassing the cache.
+  Result<Node> FetchNode(store::StorageClient* client, uint64_t node_id);
+  /// With `use_cache`, looks the node up in the inner-node cache first and
+  /// caches a fetched inner node; without, always fetches.
+  Result<NodePtr> ReadNode(store::StorageClient* client, uint64_t node_id,
+                           bool use_cache);
   /// Lookup without the index_lookups metric (callers count themselves).
   Result<std::vector<uint64_t>> LookupRids(store::StorageClient* client,
                                            std::string_view key);
-  Result<Node> ReadNodeUncached(store::StorageClient* client,
-                                uint64_t node_id);
 
   /// Descends to the leaf that should hold `key`. Fills `path` with the
   /// inner node ids visited (root first). Retries with the cache disabled
   /// when a stale cached path is detected.
-  Result<Node> DescendToLeaf(store::StorageClient* client,
-                             std::string_view key,
-                             std::vector<uint64_t>* path);
+  Result<NodePtr> DescendToLeaf(store::StorageClient* client,
+                                std::string_view key,
+                                std::vector<uint64_t>* path);
 
   /// Level-synchronous descent for many keys: every key advances one level
   /// per round, and each round fetches the distinct uncached nodes of that
@@ -192,13 +211,13 @@ class BTree {
   /// owns the full B-link right-hop and cache-refresh machinery.
   static constexpr size_t kNoLeaf = static_cast<size_t>(-1);
   Status BatchDescendToLeaves(store::StorageClient* client,
-                              const std::vector<std::string>& keys,
-                              std::vector<Node>* leaves,
+                              const std::vector<std::string_view>& keys,
+                              std::vector<NodePtr>* leaves,
                               std::vector<size_t>* leaf_of_key);
 
   /// Splits `node` (already full) and publishes both halves; then inserts
   /// the separator into the parent level best-effort. Retries internally.
-  Status SplitNode(store::StorageClient* client, Node& node,
+  Status SplitNode(store::StorageClient* client, const Node& node,
                    const std::vector<uint64_t>& path);
 
   /// Inserts the separator at exactly `target_level` (the split node's

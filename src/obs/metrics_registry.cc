@@ -87,6 +87,10 @@ const BuiltinGauge kBuiltinGauges[] = {
     // Per-PN B+tree inner-node caches, summed over processing nodes.
     {"index.cache.entries", "entries",
      "inner B+tree nodes held by per-PN node caches"},
+    {"index.cache.hits", "lookups",
+     "inner-node lookups served by per-PN node caches"},
+    {"index.cache.misses", "lookups",
+     "inner-node lookups that missed the per-PN node caches"},
     // Shared record buffer (SB/SBVS) stats, summed over processing nodes.
     {"buffer.shared.hits", "reads", "shared-buffer probes served locally"},
     {"buffer.shared.misses", "reads",

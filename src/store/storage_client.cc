@@ -153,7 +153,7 @@ Result<VersionedCell> StorageClient::GetImpl(TableId table,
   // Two-sided path. The fill epoch is sampled before the fetch (a write
   // racing the gap only causes a spurious invalidation later, never a stale
   // hit — see store/record_cache.h).
-  uint64_t fill_epoch = LeaseEpochOf(table, key);
+  uint64_t fill_epoch = FillEpochOf(table, key);
   auto result = GetWithRetry(table, key);
   uint64_t response_bytes = result.ok() ? result->value.size() + 8 : 8;
   ChargeRequest(key.size() + kPerOpHeaderBytes, response_bytes);
@@ -622,7 +622,7 @@ void StorageClient::Flush() {
         if (op.kind == PendingOp::Kind::kGet) {
           // Cache-fill tag: the epoch must be sampled before the fetch
           // executes (store/record_cache.h).
-          op.fill_epoch = LeaseEpochOf(op.table, op.key);
+          op.fill_epoch = FillEpochOf(op.table, op.key);
         }
         response_bytes = ExecuteRaw(&op);
         if (d.drop_response) {
@@ -715,7 +715,7 @@ std::vector<Result<VersionedCell>> StorageClient::BatchGet(
         }
         metrics_->onesided_fallbacks += 1;
       }
-      uint64_t fill_epoch = LeaseEpochOf(op.table, op.key);
+      uint64_t fill_epoch = FillEpochOf(op.table, op.key);
       auto result = GetWithRetry(op.table, op.key);
       uint64_t response_bytes = result.ok() ? result->value.size() + 8 : 8;
       ChargeRequest(op.key.size() + kPerOpHeaderBytes, response_bytes);
@@ -757,7 +757,7 @@ std::vector<Result<VersionedCell>> StorageClient::BatchGet(
       }
       metrics_->onesided_fallbacks += 1;
     }
-    uint64_t fill_epoch = LeaseEpochOf(op.table, op.key);
+    uint64_t fill_epoch = FillEpochOf(op.table, op.key);
     auto result = GetWithRetry(op.table, op.key);
     auto master = cluster_->MasterOf(op.table, op.key);
     uint32_t node = master.ok() ? *master : 0;

@@ -359,6 +359,13 @@ class StorageClient : public PipelineFlusher {
   /// partition cannot be resolved (the fetch will fail the same way).
   uint64_t LeaseEpochOf(TableId table, std::string_view key) const;
 
+  /// The fill epoch a two-sided get samples before its fetch: the lease
+  /// epoch with a record cache attached, else 0 (CacheFill drops it unread,
+  /// so the partition lookup is skipped).
+  uint64_t FillEpochOf(TableId table, std::string_view key) const {
+    return options_.record_cache == nullptr ? 0 : LeaseEpochOf(table, key);
+  }
+
   /// Record-cache probe. On a hit fills `out` (byte-identical to a fresh
   /// fetch by the lease protocol) and counts a cache hit; no network is
   /// charged. Counts a miss otherwise. No-op false without a cache.

@@ -172,20 +172,15 @@ class TableRegistry {
 
   /// Aggregated inner-node cache statistics over every cache this registry
   /// owns (feeds the `index.cache.*` gauges).
-  struct CacheStats {
-    uint64_t entries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  CacheStats IndexCacheStats() const {
+  index::NodeCacheStats IndexCacheStats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    CacheStats stats;
+    index::NodeCacheStats stats;
     for (const auto& cache : caches_) {
-      stats.entries += cache->entries();
-      stats.hits += cache->hits();
-      stats.misses += cache->misses();
-      stats.evictions += cache->evictions();
+      index::NodeCacheStats s = cache->stats();
+      stats.entries += s.entries;
+      stats.hits += s.hits;
+      stats.misses += s.misses;
+      stats.evictions += s.evictions;
     }
     return stats;
   }

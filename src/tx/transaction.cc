@@ -685,6 +685,11 @@ Status Transaction::ValidateReadSet() {
     if (state.dirty) continue;  // writes are validated by LL/SC itself
     if (!state.exists) continue;  // absent records: phantom-style validation
                                   // is out of scope (no gap locks)
+    // A version the snapshot cannot see was installed before the fetch: the
+    // read is already stale although the stamp below will still match.
+    if (Visible(state) != state.record.Newest()) {
+      return Status::Aborted("serializable validation: read a stale version");
+    }
     ops.push_back({key.first, RidKey(key.second)});
     expected.push_back(state.stamp);
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <thread>
 
@@ -7,6 +8,7 @@
 #include "common/serde.h"
 #include "index/btree.h"
 #include "store/cluster.h"
+#include "tx/catalog.h"
 #include "tests/test_util.h"
 
 namespace tell::index {
@@ -252,6 +254,86 @@ TEST_F(BTreeTest, StaleCacheRecoversAfterRemoteSplits) {
     ASSERT_EQ(rids.size(), 1u) << "key " << i * 2 + 1;
     EXPECT_EQ(rids[0], 100 + i);
   }
+}
+
+TEST_F(BTreeTest, SharedCachedNodesStayValidUnderSplitsAndEvictions) {
+  // Four workers share one two-entry node cache, so splits replace and the
+  // LRU bound evicts nodes that other workers are still descending through.
+  // A shared node must stay valid (its keys view its own payload) for as
+  // long as anyone holds it. A poller reads the cache counters meanwhile.
+  auto setup_client = MakeClient();
+  ASSERT_OK(BTree::Create(setup_client.get(), table_));
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 250;
+  NodeCache shared(/*max_entries=*/2);
+  BTreeOptions options;
+  options.fanout = 8;
+  // The same tree opened through a TableRegistry, whose own caches feed
+  // IndexCacheStats().
+  tx::TableMeta meta;
+  meta.name = "idx";
+  meta.primary.store_table = table_;
+  tx::TableRegistry registry;
+  tx::TableHandle* handle = registry.Open(&meta, options);
+  // Keys longer than the small-string buffer, like multi-column keys.
+  auto key_of = [](uint64_t k) {
+    return "key/" + tell::EncodeOrderedU64(k) + tell::EncodeOrderedU64(~k);
+  };
+  std::vector<std::unique_ptr<store::StorageClient>> clients;
+  for (int t = 0; t < kThreads; ++t) clients.push_back(MakeClient());
+  std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    uint64_t last_hits = 0;
+    while (!done.load()) {
+      NodeCacheStats s = shared.stats();
+      NodeCacheStats r = registry.IndexCacheStats();
+      if (s.entries > shared.max_entries() || r.hits < last_hits) {
+        failures += 1;
+      }
+      last_hits = r.hits;
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      store::StorageClient* client = clients[static_cast<size_t>(t)].get();
+      BTree tree(table_, options, &shared);
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        uint64_t k = i * kThreads + static_cast<uint64_t>(t);
+        if (!tree.Insert(client, key_of(k), k + 1, true).ok()) failures += 1;
+        // Look up an earlier key of this worker through both caches.
+        uint64_t back = (i / 2) * kThreads + static_cast<uint64_t>(t);
+        for (BTree* reader : {&tree, &handle->primary}) {
+          auto rids = reader->Lookup(client, key_of(back));
+          if (!rids.ok() || rids->size() != 1 || (*rids)[0] != back + 1) {
+            failures += 1;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  done = true;
+  poller.join();
+  EXPECT_EQ(failures.load(), 0);
+  BTree tree(table_, options, &shared);
+  auto client = MakeClient();
+  for (uint64_t k = 0; k < kThreads * kPerThread; ++k) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         tree.Lookup(client.get(), key_of(k)));
+    ASSERT_EQ(rids.size(), 1u) << "key " << k;
+    EXPECT_EQ(rids[0], k + 1);
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> all,
+                       tree.RangeScan(client.get(), "", "", 0));
+  EXPECT_EQ(all.size(), kThreads * kPerThread);
+  NodeCacheStats stats = shared.stats();
+  EXPECT_LE(stats.entries, 2u);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(registry.IndexCacheStats().hits, 0u);
 }
 
 TEST_F(BTreeTest, CachingReducesStorageRequests) {

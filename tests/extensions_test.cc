@@ -107,6 +107,33 @@ TEST_F(SerializableSiTest, SerializableModePreventsWriteSkew) {
   EXPECT_GE(ReadValue(rid_x_) + ReadValue(rid_y_), 0);
 }
 
+TEST_F(SerializableSiTest, StaleReadOfCommittedVersionAborts) {
+  // T2 commits a new y before T1 first reads y. T1's snapshot cannot see
+  // that version, so T1 reads the old y although the record's stamp does
+  // not change again before T1 validates. T1 -> T2 (T1 missed T2's y) and
+  // T2 -> T1 (T2 read the x that T1 overwrites) form a cycle: T1 must abort.
+  auto session2 = db_->OpenSession(1, 1);
+  auto table2 = *db_->GetTable(1, "t");
+  tx::TxnOptions serializable;
+  serializable.serializable = true;
+  tx::Transaction t1(session_.get(), serializable);
+  tx::Transaction t2(session2.get(), serializable);
+  ASSERT_OK(t1.Begin());
+  ASSERT_OK(t2.Begin());
+  ASSERT_OK(t2.Read(table2, rid_x_).status());
+  ASSERT_OK(t2.Update(table2, rid_y_, Row(2, -5)));
+  ASSERT_OK(t2.Commit());
+  ASSERT_OK(t1.Read(table_, rid_x_).status());
+  auto y = t1.Read(table_, rid_y_);
+  ASSERT_OK(y.status());
+  ASSERT_TRUE(y->has_value());
+  EXPECT_EQ((*y)->GetInt(1), 10);  // the snapshot's (stale) y
+  ASSERT_OK(t1.Update(table_, rid_x_, Row(1, -5)));
+  EXPECT_TRUE(t1.Commit().IsAborted()) << "write skew slipped through";
+  EXPECT_EQ(ReadValue(rid_x_), 10);
+  EXPECT_EQ(ReadValue(rid_y_), -5);
+}
+
 TEST_F(SerializableSiTest, SerializableCommitsWhenNoInterference) {
   tx::TxnOptions serializable;
   serializable.serializable = true;
