@@ -26,9 +26,6 @@ struct TaskHook {
 /// threads); everything else just reads it through MaybeYield().
 inline thread_local TaskHook g_task_hook;
 
-/// True when the calling thread is an executor worker running a task.
-inline bool InTask() { return g_task_hook.yield != nullptr; }
-
 /// Park point: yields the current task's fiber back to its scheduler when
 /// running under the executor; no-op otherwise. Never touches virtual
 /// clocks — yielding is free in virtual time by design (RUNTIME.md,

@@ -15,17 +15,15 @@ namespace tell::exec {
 /// A submitted task: just a fiber. The scheduler owns the allocation and
 /// frees it when the body returns.
 struct Runtime::Task {
-  Task(std::function<void()> body, size_t stack_bytes, bool pinned)
-      : fiber(std::move(body), stack_bytes), pinned(pinned) {}
+  Task(std::function<void()> body, size_t stack_bytes)
+      : fiber(std::move(body), stack_bytes) {}
   Fiber fiber;
-  /// Pinned tasks stay on their submit queue: thieves skip them, so the
-  /// task only ever runs on its home core (see Submit with queue_hint).
-  const bool pinned;
 };
 
-/// One run queue. The owning worker pops from the front (FIFO — this is
-/// what makes the single-thread configuration deterministic); thieves take
-/// from the back, so the oldest waiting task migrates first.
+/// One run queue. Every enqueue pushes to the back and the owning worker
+/// pops from the front (FIFO — this is what makes the single-thread
+/// configuration deterministic); thieves take from the back, so the newest
+/// task migrates and the owner keeps the ones that have waited longest.
 struct Runtime::Core {
   std::deque<Task*> queue;
 };
@@ -47,22 +45,12 @@ Runtime::~Runtime() {
 }
 
 void Runtime::Submit(std::function<void()> body) {
-  Task* task = new Task(std::move(body), options_.stack_bytes,
-                        /*pinned=*/false);
+  Task* task = new Task(std::move(body), options_.stack_bytes);
   std::lock_guard<std::mutex> lock(mutex_);
   TELL_CHECK(!done_);
   const uint32_t target = next_queue_;
   next_queue_ = (next_queue_ + 1) % static_cast<uint32_t>(cores_.size());
   EnqueueLocked(task, target);
-}
-
-void Runtime::Submit(std::function<void()> body, uint64_t queue_hint) {
-  Task* task = new Task(std::move(body), options_.stack_bytes,
-                        /*pinned=*/true);
-  std::lock_guard<std::mutex> lock(mutex_);
-  TELL_CHECK(!done_);
-  EnqueueLocked(task,
-                static_cast<uint32_t>(queue_hint % cores_.size()));
 }
 
 void Runtime::EnqueueLocked(Task* task, uint32_t target) {
@@ -73,15 +61,7 @@ void Runtime::EnqueueLocked(Task* task, uint32_t target) {
                            static_cast<uint64_t>(cores_[target]->queue.size()));
   if (parked_ > 0) {
     ++cs.unparks;
-    if (task->pinned) {
-      // A pinned task runs only on its home core, but notify_one may land on
-      // a core that skips it in the steal loop, finds nothing and re-parks —
-      // consuming the wakeup while the home core stays parked, stranding the
-      // task. Wake everyone; non-home cores simply re-park.
-      work_cv_.notify_all();
-    } else {
-      work_cv_.notify_one();
-    }
+    work_cv_.notify_one();
   }
 }
 
@@ -104,13 +84,10 @@ Runtime::Task* Runtime::FindWork(uint32_t core_id,
     }
     for (uint32_t j = 1; j < cores_.size(); ++j) {
       Core& victim = *cores_[(core_id + j) % cores_.size()];
-      // Oldest-first from the back, skipping pinned tasks: those may only
-      // run on their home core (its own front-pop finds them; a core never
-      // parks while its queue is non-empty, so they cannot be stranded).
-      for (auto it = victim.queue.rbegin(); it != victim.queue.rend(); ++it) {
-        if ((*it)->pinned) continue;
-        Task* task = *it;
-        victim.queue.erase(std::next(it).base());
+      // Steal the victim's newest task, from the back.
+      if (!victim.queue.empty()) {
+        Task* task = victim.queue.back();
+        victim.queue.pop_back();
         --queued_;
         ++stats_.cores[core_id].steals;
         return task;
@@ -175,15 +152,7 @@ void Runtime::WorkerLoop(uint32_t core_id) {
       // The task yielded (parked on a future): back of our own queue, so
       // every other runnable task on this core gets a slice first.
       ++cs.yields;
-      Core& own = *cores_[core_id];
-      own.queue.push_back(task);
-      ++queued_;
-      cs.queue_peak =
-          std::max(cs.queue_peak, static_cast<uint64_t>(own.queue.size()));
-      if (parked_ > 0) {
-        ++cs.unparks;
-        work_cv_.notify_one();
-      }
+      EnqueueLocked(task, core_id);
     }
   }
   lock.unlock();

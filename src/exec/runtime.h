@@ -92,13 +92,6 @@ class Runtime {
   /// callable before Run() and from inside tasks while Run() is live.
   void Submit(std::function<void()> body);
 
-  /// Enqueues a task PINNED to run queue `queue_hint % threads`: thieves
-  /// skip it, so it only ever runs on that core. Used for home-partition
-  /// affinity (all fast-path tasks of one partition share a core, so its
-  /// serial lane never bounces between caches). Pinning trades load balance
-  /// for locality — skewed hints leave cores idle.
-  void Submit(std::function<void()> body, uint64_t queue_hint);
-
   /// Runs every submitted task to completion. Blocks the caller; the
   /// executor threads are spawned here and joined before returning.
   void Run();
@@ -122,6 +115,8 @@ class Runtime {
 
   void WorkerLoop(uint32_t core_id);
   Task* FindWork(uint32_t core_id, std::unique_lock<std::mutex>& lock);
+  /// Pushes `task` to the back of run queue `target` and wakes one parked
+  /// worker. Caller holds mutex_.
   void EnqueueLocked(Task* task, uint32_t target);
 
   const RuntimeOptions options_;

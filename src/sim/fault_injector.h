@@ -27,8 +27,6 @@ enum class FaultOpClass : uint32_t {
   kCommitMgrStart,
   /// Commit-manager finish notification (setCommitted / setAborted).
   kCommitMgrFinish,
-  /// Commit-manager fast-path tid lease (LeaseFastTids).
-  kCommitMgrLease,
   /// One-sided (RDMA READ) record fetch. A dropped request or response
   /// models a lost/failed READ completion; the client counts a validation
   /// failure and retries through the two-sided path.

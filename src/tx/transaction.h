@@ -22,7 +22,6 @@
 
 namespace tell::tx {
 
-class FastPathCoordinator;
 class Transaction;
 
 struct SessionOptions {
@@ -53,8 +52,7 @@ class Session {
           const store::ClientOptions& client_options,
           commitmgr::CommitManagerGroup* commit_managers,
           const TransactionLog* log, RecordBuffer* record_buffer,
-          const SessionOptions& options = {},
-          FastPathCoordinator* fastpath = nullptr)
+          const SessionOptions& options = {})
       : pn_id_(pn_id),
         worker_id_(worker_id),
         client_(cluster, management, client_options, &clock_, &metrics_),
@@ -63,8 +61,7 @@ class Session {
                    {options.commit_delta, options.commit_batching}),
         log_(log),
         record_buffer_(record_buffer),
-        options_(options),
-        fastpath_(fastpath) {}
+        options_(options) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -82,8 +79,6 @@ class Session {
   }
   /// The session's delta-sync/batching window to the commit managers.
   CommitManagerClient* commitmgr_client() { return &cm_client_; }
-  /// The PN's phase-switching fast-path coordinator (null = fast path off).
-  FastPathCoordinator* fastpath() { return fastpath_; }
 
   /// Allocates a fresh rid for `table` from the session's cached range.
   Result<uint64_t> AllocateRid(const TableMeta* table);
@@ -106,7 +101,6 @@ class Session {
   const TransactionLog* const log_;
   RecordBuffer* const record_buffer_;
   const SessionOptions options_;
-  FastPathCoordinator* const fastpath_;
   /// Cached rid ranges per data table: (next, end inclusive).
   std::map<store::TableId, std::pair<uint64_t, uint64_t>> rid_ranges_;
 };
@@ -116,21 +110,16 @@ enum class TxnState { kPending, kRunning, kCommitted, kAborted };
 /// Per-transaction options.
 struct TxnOptions {
   /// Serializable snapshot isolation (the paper's §4.1 "near future" item,
-  /// implemented here): at commit, after the writes are installed, the
-  /// read set is re-validated against the store — if any record read (but
-  /// not written) by this transaction changed since it was read, the
-  /// transaction aborts. This closes SI's write-skew anomaly: of two
-  /// transactions with intersecting read/write sets, at most one can pass
-  /// validation (writes install before reads validate, so the later
-  /// validator observes the earlier installer's write).
+  /// implemented here): at commit, after the writes are installed, every
+  /// record read (but not written) by this transaction is validated. It
+  /// aborts if a read record's snapshot-visible version is not its newest
+  /// (a version the snapshot cannot see was installed before the fetch),
+  /// or if the record's stamp in the store changed since it was read. This
+  /// closes SI's write-skew anomaly: of two transactions with intersecting
+  /// read/write sets, at most one can pass validation (writes install
+  /// before reads validate, so the later validator observes the earlier
+  /// installer's write, either as a newer version or as a moved stamp).
   bool serializable = false;
-  /// Declared home partition for the single-partition fast path (DESIGN.md
-  /// "Phase-switching fast path"): >= 0 routes the transaction onto its
-  /// partition's serial fast lane when the session has a coordinator. Every
-  /// touched tuple is checked against this value — a touch outside the home
-  /// returns CrossPartition and the caller re-runs on the MVCC path. -1 (the
-  /// default) = general MVCC execution.
-  int64_t home_partition = -1;
 };
 
 /// One ACID transaction under distributed snapshot isolation (paper §4).
@@ -160,13 +149,6 @@ class Transaction {
   Tid lav() const { return lav_; }
   const SnapshotDescriptor& snapshot() const { return snapshot_; }
   TxnState state() const { return state_; }
-  /// True when this transaction runs on the single-partition fast lane.
-  bool fast() const { return fast_; }
-  /// True once a fast transaction hit a cross-partition touch: the next
-  /// Abort (explicit or via destructor) counts tx.fastpath.fallbacks
-  /// instead of tx.aborted, since the caller re-runs the work on the MVCC
-  /// path and the logical transaction is not aborted.
-  bool fallback() const { return fallback_; }
 
   // --- Record operations --------------------------------------------------
 
@@ -256,8 +238,7 @@ class Transaction {
   /// request. Updates the sql.scan.* worker counters. Fails with
   /// InvalidArgument while the transaction holds dirty writes on the
   /// table (the caller must fall back to the row-shipping path, which
-  /// overlays the private buffer); falls back to the MVCC path on fast
-  /// transactions like FilteredScan.
+  /// overlays the private buffer).
   Result<store::FragmentScanOutcome> ExecuteScanFragment(
       TableHandle* table, uint64_t descriptor_bytes,
       const store::FragmentSinkFactory& make_sink);
@@ -295,15 +276,6 @@ class Transaction {
     bool dirty = false;
     bool is_new = false;  // first version written by this transaction
     TableHandle* table = nullptr;
-    /// Partitions of every tuple image this transaction wrote for the
-    /// record — for an update, BOTH the old and the new image, so a
-    /// partition-column change fences the lanes of both the source and the
-    /// destination partition at commit (a fast transaction homed on either
-    /// may hold the record buffered). Drives which lane fences an MVCC
-    /// commit takes shared. Unpartitioned tables (or non-integer partition
-    /// values) conservatively take the reference fence exclusive instead.
-    std::vector<int64_t> partitions;
-    bool unpartitioned = false;
   };
 
   struct IndexOp {
@@ -317,38 +289,6 @@ class Transaction {
 
   /// Fetches (or returns the buffered) record state.
   Result<RecordState*> EnsureFetched(TableHandle* table, uint64_t rid);
-
-  /// The version this transaction reads from `state`: the snapshot-visible
-  /// version on the MVCC path; the newest version on the fast path (the
-  /// lane fence guarantees every version is settled, and fast tids are
-  /// counter-fresh, so an own write is always the newest).
-  const schema::RecordVersion* Visible(const RecordState& state) const {
-    return fast_ ? state.record.Newest()
-                 : state.record.VisibleVersion(snapshot_, tid_);
-  }
-
-  /// Fast path: verifies `tuple` lives in the declared home partition.
-  /// Reads of unpartitioned (reference) tables pass — they are covered by
-  /// the shared reference fence — but writes to them, and any touch of
-  /// another partition, mark the transaction for fallback and return
-  /// CrossPartition. Fires before any write is visible (fast writes stay
-  /// buffered until CommitFast).
-  Status CheckFastTuple(TableHandle* table, const schema::Tuple& tuple,
-                        bool for_write);
-
-  /// Fast path: leases this transaction's tid on first write.
-  Status EnsureFastTid();
-
-  /// Records the partition of a written tuple image in `state`
-  /// (accumulating — the MVCC commit fences every recorded lane).
-  void RecordPartition(RecordState* state, TableHandle* table,
-                       const schema::Tuple& tuple);
-
-  /// Fast-lane commit: one coalesced unconditional write of the dirty
-  /// records to the owning storage node, then index maintenance — no log
-  /// entry, no LL/SC, no commit-manager round trip (completion rides a
-  /// batched message).
-  Status CommitFast();
 
   /// Fills the transaction buffer for `rids` not yet buffered, in one
   /// batched request when the buffering strategy allows it (BatchRead and
@@ -376,9 +316,7 @@ class Transaction {
   /// version are skipped after one read. Keys whose revert keeps failing on
   /// transient errors are abandoned to lazy GC and counted in
   /// tx.rollback_unresolved.
-  /// Returns true if every record was fully reverted (the fast path may
-  /// only complete its tid when nothing of it can remain visible).
-  bool RollbackApplied(const std::vector<RecordKey>& dirty);
+  void RollbackApplied(const std::vector<RecordKey>& dirty);
 
   /// Removes the first `count` entries of index_ops_ from their B-trees
   /// (undo of commit step 3 when a later index insert or the commit flag
@@ -390,8 +328,10 @@ class Transaction {
   /// snapshot (a concurrent transaction already applied an update).
   Status CheckWritable(const RecordState& state) const;
 
-  /// Serializable mode: re-reads the stamps of all records in the read set
-  /// (fetched but not written). OK if unchanged; Aborted otherwise.
+  /// Serializable mode: validates the read set (records fetched but not
+  /// written). Aborted if a read record's snapshot-visible version is not
+  /// its newest, or if a re-read stamp differs from the fetched one; OK
+  /// otherwise.
   Status ValidateReadSet();
 
   /// Validates an index hit: fetches the record, checks some version still
@@ -403,6 +343,12 @@ class Transaction {
 
   Status FinishCommitEmpty();
 
+  /// The one abort tail, shared by every failed commit step and by manual
+  /// Abort: tells the commit manager the tid aborted, marks the transaction
+  /// aborted, counts it in tx.aborted and returns `cause` for the caller to
+  /// pass on.
+  Status FinishAborted(Status cause);
+
   Session* const session_;
   store::StorageClient* const client_;
   obs::TxnTracer* const tracer_;
@@ -412,12 +358,6 @@ class Transaction {
   Tid lav_ = 0;
   SnapshotDescriptor snapshot_;
   commitmgr::CommitManager* commit_manager_ = nullptr;
-  /// Fast-path state: lane held exclusively for the transaction's lifetime.
-  bool fast_ = false;
-  bool fallback_ = false;
-  uint32_t lane_ = 0;
-  /// Virtual time at fast begin — base of the lane's serial-queue charge.
-  uint64_t fast_begin_vns_ = 0;
 
   std::map<RecordKey, RecordState> buffer_;
   std::vector<IndexOp> index_ops_;

@@ -73,15 +73,6 @@ struct DriverOptions {
   uint32_t executor_threads = 0;
   /// Pin executor threads to cores (ignored in legacy mode).
   bool pin_cores = true;
-  /// < 0: spec remote probabilities. >= 0: the fraction of new-orders and
-  /// payments that touch a second warehouse (InputGenerator override) —
-  /// the sweep axis of bench/ablation_fastpath.
-  double multi_partition_fraction = -1.0;
-  /// Executor mode only: pin each worker's fiber task to executor core
-  /// `home_warehouse % threads`, so all fast-path transactions of one
-  /// warehouse share a core and its serial lane stays cache-local. Off by
-  /// default (work stealing balances better when the fast path is off).
-  bool home_affinity = false;
 };
 
 /// Aggregated run results; the benches print these next to the paper's

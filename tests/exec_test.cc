@@ -93,57 +93,6 @@ TEST(RuntimeTest, IdleThreadsStealQueuedTasks) {
   EXPECT_GT(stats.Total(&RuntimeStats::PerCore::steals), 0u);
 }
 
-TEST(RuntimeTest, PinnedTasksNeverMigrateOffTheirQueue) {
-  // Pinned submission (home-partition affinity for the fast path): every
-  // task names queue 0, yields a few times mid-run, and the other three
-  // cores — idle the whole time — must NOT steal any of them. Yield-requeue
-  // goes back to the home queue, so pinning holds across suspensions.
-  constexpr uint32_t kThreads = 4;
-  constexpr int kTasks = 24;
-  Runtime runtime(RuntimeOptions{.threads = kThreads, .pin_cores = false});
-  std::atomic<int> completed{0};
-  for (int i = 0; i < kTasks; ++i) {
-    runtime.Submit(
-        [&completed] {
-          for (int y = 0; y < 3; ++y) Runtime::Yield();
-          completed.fetch_add(1, std::memory_order_relaxed);
-        },
-        /*queue_hint=*/kThreads * 7);  // hint % threads == 0
-  }
-  runtime.Run();
-  EXPECT_EQ(completed.load(), kTasks);
-  const RuntimeStats& stats = runtime.stats();
-  EXPECT_EQ(stats.Total(&RuntimeStats::PerCore::steals), 0u);
-  EXPECT_EQ(stats.cores[0].tasks_completed, static_cast<uint64_t>(kTasks));
-  for (uint32_t core = 1; core < kThreads; ++core) {
-    EXPECT_EQ(stats.cores[core].tasks_completed, 0u) << "core " << core;
-  }
-}
-
-TEST(RuntimeTest, PinnedAndUnpinnedTasksCoexist) {
-  // A mixed load: pinned tasks on queue 1 plus round-robin fillers. Thieves
-  // must skip the pinned backlog but may steal the fillers; everything
-  // completes and the pinned work all runs on core 1.
-  constexpr uint32_t kThreads = 3;
-  Runtime runtime(RuntimeOptions{.threads = kThreads, .pin_cores = false});
-  std::atomic<int> pinned_done{0};
-  std::atomic<int> free_done{0};
-  for (int i = 0; i < 12; ++i) {
-    runtime.Submit(
-        [&pinned_done] {
-          Runtime::Yield();
-          pinned_done.fetch_add(1, std::memory_order_relaxed);
-        },
-        /*queue_hint=*/1);
-    runtime.Submit([&free_done] {
-      free_done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  runtime.Run();
-  EXPECT_EQ(pinned_done.load(), 12);
-  EXPECT_EQ(free_done.load(), 12);
-}
-
 TEST(RuntimeTest, NoLostWakeupsOnParkUnpark) {
   // One producer task trickles follow-on tasks out with real delays while
   // the other executor threads go idle and park. Every submission must wake
@@ -170,36 +119,6 @@ TEST(RuntimeTest, NoLostWakeupsOnParkUnpark) {
   // parked and been woken at least once each.
   EXPECT_GT(stats.Total(&RuntimeStats::PerCore::parks), 0u);
   EXPECT_GT(stats.Total(&RuntimeStats::PerCore::unparks), 0u);
-}
-
-TEST(RuntimeTest, InTaskPinnedSubmitWakesTheHomeCore) {
-  // Regression: a pinned task's enqueue used notify_one, which may wake a
-  // core that skips pinned work in its steal loop — that core finds
-  // nothing, re-parks, and the notification is consumed while the task's
-  // home core stays parked, stranding the task until an unrelated enqueue.
-  // Submitting pinned tasks from INSIDE a task after the other cores have
-  // drained and parked hits exactly that window; completing the full count
-  // is the proof the home core was woken.
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 25;
-  Runtime runtime(RuntimeOptions{.threads = kThreads, .pin_cores = false});
-  std::atomic<int> completed{0};
-  runtime.Submit([&runtime, &completed] {
-    for (int round = 0; round < kRounds; ++round) {
-      // Give the other cores time to go idle and park.
-      std::this_thread::sleep_for(std::chrono::microseconds(300));
-      for (int core = 0; core < kThreads; ++core) {
-        runtime.Submit(
-            [&completed] {
-              completed.fetch_add(1, std::memory_order_relaxed);
-            },
-            /*queue_hint=*/static_cast<uint64_t>(core));
-      }
-    }
-    completed.fetch_add(1, std::memory_order_relaxed);
-  });
-  runtime.Run();
-  EXPECT_EQ(completed.load(), kThreads * kRounds + 1);
 }
 
 TEST(RuntimeTest, YieldAndInTaskAreSafeOutsideTheExecutor) {

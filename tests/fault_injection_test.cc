@@ -216,7 +216,7 @@ TEST(ScanTruncationRegressionTest, ScanSurvivesGarbageHeavyIndexRange) {
 
 // Commit inserts index entries one by one; when entry k fails (unique
 // conflict), entries 0..k-1 used to stay in their trees even though the
-// transaction aborted. The leaked primary-key entry then made a fast-path
+// transaction aborted. The leaked primary-key entry then made an unchecked
 // insert (check_unique=false, the TPC-C loader idiom) of the same key abort
 // spuriously with AlreadyExists.
 TEST(IndexLeakRegressionTest, AbortedCommitLeavesNoIndexEntries) {

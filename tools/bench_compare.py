@@ -7,14 +7,17 @@ runs by label, and diffs every derived metric the two runs share. A metric
 is a regression when it moves in its bad direction by more than the
 threshold percentage.
 
-Direction is inferred from the metric name. Rate-shaped names ("_tps",
-"_per_sec", "tpmc", "hit_rate") are higher-is-better and take precedence —
-a wall-clock rate like wall_tps must flag when it *drops*, even though
-other wall_* fields are durations. Otherwise anything that reads like a
-latency, abort or cost ("latency", "resp", "abort", "_ms", "_ns", "_us",
-"requests_per_txn", "wall_seconds") is lower-is-better; everything else
-(throughput-like: tpmc, tps, speedups) is higher-is-better. Override per
-metric with --lower-is-better / --higher-is-better.
+Direction is inferred from the metric name, in three steps. Costs per
+unit of work and throughput dips ("bytes_per", "msgs_per", "dip") are
+lower-is-better and checked first, so tpmc_dip_pct is a dip, not a TpmC
+rate. Rate-shaped names ("_tps", "_per_sec", "tpmc", "hit_rate") are
+higher-is-better next — a wall-clock rate like wall_tps must flag when it
+*drops*, even though other wall_* fields are durations. Otherwise anything
+that reads like a latency, abort or cost ("latency", "resp", "abort",
+"_ms", "_ns", "_us", "requests_per_txn", "wall_seconds") is
+lower-is-better; everything else (throughput-like: tps, speedups) is
+higher-is-better. Override per metric with --lower-is-better /
+--higher-is-better.
 
 Usage:
   bench_compare.py BASELINE.json CURRENT.json [--threshold PCT]
@@ -28,6 +31,18 @@ import argparse
 import json
 import sys
 
+# Checked before every other hint: a cost per transaction or per query, or
+# a throughput dip, is lower-is-better even when the name also carries a
+# rate hint (tpmc_dip_pct) or no hint at all (cm_bytes_per_txn,
+# olap_bytes_per_query). "msgs_per" is named although "_ms" would also
+# catch cm_msgs_per_txn, so the direction does not hang on a substring
+# accident.
+COST_HINTS = (
+    "bytes_per",
+    "msgs_per",
+    "dip",
+)
+
 LOWER_IS_BETTER_HINTS = (
     "latency",
     "resp",
@@ -37,16 +52,15 @@ LOWER_IS_BETTER_HINTS = (
     "_us",
     "requests_per_txn",
     "wall_seconds",
-    # Chaos-recovery fields (bench/chaos_recovery.cc): longer leader
-    # outages and deeper migration throughput dips are regressions.
-    # recovery_time_ms also matches "_ms", but it is named here so the
-    # direction survives a producer-side rename of the unit suffix.
+    # Chaos-recovery field (bench/chaos_recovery.cc): longer leader
+    # outages are regressions. recovery_time_ms also matches "_ms", but it
+    # is named here so the direction survives a producer-side rename of the
+    # unit suffix. (Migration dips are covered by COST_HINTS.)
     "recovery_time",
-    "dip",
 )
 
-# Checked before the lower-is-better hints: a rate is higher-is-better no
-# matter what else its name contains. This is what keeps wall-clock rates
+# Checked after COST_HINTS but before the lower-is-better hints: a rate is
+# higher-is-better no matter what else its name contains. This is what keeps wall-clock rates
 # (wall_tps, wall_ops_per_sec) flagged on *drops* while wall_seconds stays
 # flagged on rises.
 HIGHER_IS_BETTER_HINTS = (
@@ -66,6 +80,8 @@ def is_lower_better(name, force_lower, force_higher):
         return True
     if name in force_higher:
         return False
+    if any(hint in name for hint in COST_HINTS):
+        return True
     if any(hint in name for hint in HIGHER_IS_BETTER_HINTS):
         return False
     return any(hint in name for hint in LOWER_IS_BETTER_HINTS)
@@ -134,8 +150,9 @@ def selftest():
 
     def artifact(tpmc, resp_ms, wall_tps=None, wall_seconds=None,
                  recovery_time_ms=None, migration_dip_pct=None,
-                 cache_hit_rate=None, olap_qps=None):
+                 cache_hit_rate=None, olap_qps=None, **costs):
         derived = {"tpmc": tpmc, "resp_ms": resp_ms}
+        derived.update(costs)
         if wall_tps is not None:
             derived["wall_tps"] = wall_tps
         if wall_seconds is not None:
@@ -196,6 +213,22 @@ def selftest():
         # ...and more analytical queries per second is clean.
         (artifact(1000, 1.0, olap_qps=6.0),
          artifact(1000, 1.0, olap_qps=12.0), 10.0, 0),
+        # Costs and dips are lower-is-better even when the name carries a
+        # rate hint: a deeper TpmC dip (hybrid suite), more commit-manager
+        # bytes per transaction and more bytes per OLAP query each flag...
+        (artifact(1000, 1.0, tpmc_dip_pct=2.0),
+         artifact(1000, 1.0, tpmc_dip_pct=8.0), 10.0, 1),
+        (artifact(1000, 1.0, cm_bytes_per_txn=100.0),
+         artifact(1000, 1.0, cm_bytes_per_txn=280.0), 10.0, 1),
+        (artifact(1000, 1.0, olap_bytes_per_query=4000.0),
+         artifact(1000, 1.0, olap_bytes_per_query=9000.0), 10.0, 1),
+        # ...and the same three falling is clean, as is fewer commit-manager
+        # messages per transaction.
+        (artifact(1000, 1.0, tpmc_dip_pct=8.0, cm_bytes_per_txn=280.0,
+                  olap_bytes_per_query=9000.0, cm_msgs_per_txn=2.0),
+         artifact(1000, 1.0, tpmc_dip_pct=2.0, cm_bytes_per_txn=100.0,
+                  olap_bytes_per_query=4000.0, cm_msgs_per_txn=1.0),
+         10.0, 0),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
